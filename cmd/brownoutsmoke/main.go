@@ -181,7 +181,7 @@ func run() error {
 	var storm sync.WaitGroup
 	var tallyMu sync.Mutex
 	tally := map[string]int{}
-	sweepURL := "http://" + owner + "/v1/sessions/" + id + "/sweep?algorithm=spillbound&max=0"
+	sweepURL := "http://" + owner + "/v1/sessions/" + id + "/sweep?strategy=spillbound&max=0"
 	for i := 0; i < stormWorkers; i++ {
 		storm.Add(1)
 		go func() {

@@ -177,6 +177,18 @@ func run() error {
 	}
 	log.Printf("golden run: %d events, totalCost %.4f", len(golden.Events), golden.TotalCost)
 
+	// --- Hedged read. -------------------------------------------------------
+	// An exhaustive sweep is an idempotent read that takes far longer than
+	// the 1ms hedge delay, so proxying it through the front fires a hedge
+	// whatever the loopback latency of the drill's short reads.
+	status, _, body, err = doReq("GET", "http://"+front+"/v1/sessions/"+id+"/sweep?strategy=spillbound&max=0", "", nil)
+	if err != nil {
+		return err
+	}
+	if status != http.StatusOK {
+		return fmt.Errorf("hedged sweep: status %d: %s", status, body)
+	}
+
 	// --- Victim run: crash the owner mid-run. ------------------------------
 	// The scenario's checkpoint-crash knob interrupts the durable run at its
 	// first checkpoint (leaving a resumable snapshot), and the SIGKILL that

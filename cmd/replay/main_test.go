@@ -153,7 +153,7 @@ func TestReportProblems(t *testing.T) {
 }
 
 func TestParseMix(t *testing.T) {
-	mix, err := parseMix("sb, penaltyaware,minmaxregret")
+	mix, err := parseMix("spillbound, penaltyaware,minmaxregret")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +166,10 @@ func TestParseMix(t *testing.T) {
 			t.Errorf("mix[%d] = %q, want %q", i, mix[i], want[i])
 		}
 	}
-	if _, err := parseMix("quantum"); err == nil {
-		t.Error("unknown strategy should be rejected")
+	for _, bad := range []string{"quantum", "sb", "SpillBound"} {
+		if _, err := parseMix(bad); err == nil {
+			t.Errorf("parseMix(%q) should be rejected", bad)
+		}
 	}
 	if _, err := parseMix(" ,"); err == nil {
 		t.Error("empty mix should be rejected")

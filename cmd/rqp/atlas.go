@@ -40,7 +40,7 @@ func atlasMain(args []string) error {
 	}
 	var algos []repro.Algorithm
 	for _, name := range strings.Split(*algosStr, ",") {
-		a, err := repro.ParseAlgorithm(strings.TrimSpace(strings.ToLower(name)))
+		a, err := repro.ParseAlgorithm(strings.TrimSpace(name))
 		if err != nil {
 			return err
 		}

@@ -43,7 +43,7 @@ import (
 func main() {
 	var (
 		queryName = flag.String("query", "2D_Q91", "benchmark query name (see -list)")
-		algoName  = flag.String("algo", "spillbound", "strategy name (see -strategies); short aliases like sb/pb resolve but are deprecated")
+		algoName  = flag.String("algo", "spillbound", "strategy name (see -strategies)")
 		stratList = flag.Bool("strategies", false, "list registered strategies (name, kind, guarantee) and exit")
 		truthStr  = flag.String("truth", "", "comma-separated true selectivities (default: midpoint of each dimension)")
 		res       = flag.Int("res", 0, "grid resolution override (0 = query default)")
@@ -184,14 +184,10 @@ func runSpec(sp workload.Spec, cat *repro.Catalog, algoName, truthStr string, re
 	default:
 		return fmt.Errorf("unknown profile %q", profile)
 	}
-	canonical, legacy, err := repro.ParseStrategyName(algoName)
+	algo, err := repro.ParseAlgorithm(algoName)
 	if err != nil {
 		return err
 	}
-	if legacy {
-		fmt.Fprintf(os.Stderr, "rqp: strategy name %q is deprecated; use %q\n", algoName, canonical)
-	}
-	algo := repro.Algorithm(canonical)
 	switch algo {
 	case repro.Native, repro.PlanBouquet, repro.SpillBound, repro.AlignedBound:
 	default:
@@ -228,7 +224,10 @@ func runSpec(sp workload.Spec, cat *repro.Catalog, algoName, truthStr string, re
 	}
 	info("building ESS for %s (D=%d, %d^%d grid, profile %s)...\n",
 		sp.Name, sp.D, res, sp.D, params.Name)
-	s := ess.Build(o, ess.NewGrid(q.D(), res, sp.GridLo))
+	s, err := ess.BuildParallelContext(context.Background(), m, ess.NewGrid(q.D(), res, sp.GridLo), 0, nil)
+	if err != nil {
+		return err
+	}
 	costs := s.ContourCosts(ess.CostDoublingRatio)
 	info("POSP: %d plans | contours: %d | C_min=%.4g C_max=%.4g\n\n",
 		len(s.Plans()), len(costs), s.MinCost(), s.MaxCost())

@@ -1,7 +1,7 @@
 // Command rqpd serves the robust query processing library over HTTP: build
 // sessions (offline ESS construction, parallelized across -build-workers)
 // asynchronously, then answer per-instance run and sweep requests with
-// guarantees and traces. The API is versioned under /v1; session creation
+// guarantees and traces. The API is served under /v1 only; session creation
 // returns 202 Accepted and the session resource reports build progress
 // until it is ready.
 //
@@ -10,7 +10,7 @@
 //	curl -s -XPOST localhost:8080/v1/sessions -d '{"query":"2D_EQ"}'
 //	curl -s localhost:8080/v1/sessions/s1          # poll until "ready"
 //	curl -s -XPOST localhost:8080/v1/sessions/s1/run \
-//	     -d '{"algorithm":"spillbound","truth":[0.04,0.1]}'
+//	     -d '{"strategy":"spillbound","truth":[0.04,0.1]}'
 //
 // Observability: GET /v1/metrics serves Prometheus text exposition
 // (request, run, sub-optimality and session-build metrics; negotiate

@@ -84,7 +84,7 @@ func run() error {
 
 	// Fire the run with the caller's traceparent and check every echo.
 	status, headers, body, err := doTraced(http.MethodPost, base+"/v1/sessions/"+id+"/run",
-		`{"algorithm":"spillbound","truth":[0.04,0.1]}`, runTraceparent)
+		`{"strategy":"spillbound","truth":[0.04,0.1]}`, runTraceparent)
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -18,9 +17,8 @@ import (
 
 // This file exposes the deployment-oriented extensions of the library
 // (paper Sec 7 and the Sec 4.2 remark): automatic error-prone-predicate
-// identification, ESS persistence, parallel ESS construction, contour-ratio
-// tuning, bounded cost-model-error injection, and the textual Fig. 7
-// renderer.
+// identification, ESS persistence, contour-ratio tuning, bounded
+// cost-model-error injection, and the textual Fig. 7 renderer.
 
 // IdentifyEPPs parses the SQL against the catalog and returns the k most
 // error-prone join predicates (rendered "alias.col = alias.col", ready for
@@ -76,17 +74,6 @@ func LoadSession(cat *Catalog, sql string, epps []string, opts Options, saved io
 		return nil, err
 	}
 	return newSession(opts, q, m, sp)
-}
-
-// NewSessionParallel is NewSession with the ESS enumeration spread over the
-// given number of workers (Sec 7: contour constructions parallelize
-// trivially). The result is identical to NewSession's. Deprecated in
-// spirit: NewSession now parallelizes by default; this remains as a
-// convenience for callers that want an explicit worker count without
-// touching Options.Workers.
-func NewSessionParallel(cat *Catalog, sql string, epps []string, opts Options, workers int) (*Session, error) {
-	opts.Workers = workers
-	return NewSessionContext(context.Background(), cat, sql, epps, opts)
 }
 
 // RunWithCostError is Run with bounded cost-model error injected into the

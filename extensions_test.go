@@ -79,15 +79,19 @@ func TestSaveLoadSession(t *testing.T) {
 	}
 }
 
-func TestNewSessionParallel(t *testing.T) {
+// TestNewSessionWorkersMatchSerial checks that a session built across
+// Options.Workers goroutines matches a serial (Workers=1) build.
+func TestNewSessionWorkersMatchSerial(t *testing.T) {
 	opts := DefaultOptions()
 	opts.GridRes = 10
+	opts.Workers = 1
 	cat := TPCDSCatalog(10)
 	seq, err := NewSession(cat, paperEQ, paperEPPs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := NewSessionParallel(cat, paperEQ, paperEPPs, opts, runtime.NumCPU())
+	opts.Workers = runtime.NumCPU()
+	par, err := NewSession(cat, paperEQ, paperEPPs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +104,7 @@ func TestNewSessionParallel(t *testing.T) {
 	if a.TotalCost != b.TotalCost {
 		t.Errorf("run cost %g vs %g", a.TotalCost, b.TotalCost)
 	}
-	if _, err := NewSessionParallel(cat, paperEQ, paperEPPs, Options{GridRes: 1, Params: PostgresProfile()}, 2); err == nil {
+	if _, err := NewSession(cat, paperEQ, paperEPPs, Options{GridRes: 1, Params: PostgresProfile(), Workers: 2}); err == nil {
 		t.Error("bad grid should error")
 	}
 }

@@ -2,6 +2,7 @@ package ess
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"strings"
 	"testing"
@@ -119,9 +120,9 @@ func TestLoadValidatesPlanReferences(t *testing.T) {
 
 func TestBuildParallelMatchesSequential(t *testing.T) {
 	s := buildSpace(t, 8) // sequential reference
-	par, err := BuildParallel(s.Model, s.Grid, 4)
+	par, err := BuildParallelContext(context.Background(), s.Model, s.Grid, 4, nil)
 	if err != nil {
-		t.Fatalf("BuildParallel: %v", err)
+		t.Fatalf("BuildParallelContext: %v", err)
 	}
 	if len(par.Plans()) != len(s.Plans()) {
 		t.Fatalf("parallel POSP %d != sequential %d", len(par.Plans()), len(s.Plans()))
@@ -141,7 +142,7 @@ func TestBuildParallelMatchesSequential(t *testing.T) {
 
 func TestBuildParallelSingleWorker(t *testing.T) {
 	s := buildSpace(t, 4)
-	par, err := BuildParallel(s.Model, s.Grid, 1)
+	par, err := BuildParallelContext(context.Background(), s.Model, s.Grid, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,15 +63,6 @@ func Build(opt *optimizer.Optimizer, g Grid) *Space {
 	return s
 }
 
-// BuildParallel is Build with the grid partitioned across workers, each
-// running its own optimizer instance over the shared cost model — the
-// paper's Sec 7 observation that "the contour constructions can be carried
-// out in parallel since they do not have any dependence on each other".
-// workers <= 0 uses GOMAXPROCS. The result is bit-identical to Build's.
-func BuildParallel(m *cost.Model, g Grid, workers int) (*Space, error) {
-	return BuildParallelContext(context.Background(), m, g, workers, nil)
-}
-
 // BuildProgress observes an in-flight build: done of total grid cells have
 // been optimized. It is invoked concurrently from worker goroutines, so
 // implementations must be safe for concurrent use (an atomic store or a
@@ -88,12 +79,16 @@ type BuildProgress func(done, total int)
 // CellLo, so scheduling never shows in the tree.
 const buildChunkCells = 32
 
-// BuildParallelContext is BuildParallel with cancellation and progress
-// reporting: the context is polled between optimizer calls (an expired
-// deadline or cancel abandons the build and returns the context's error),
-// and progress, when non-nil, observes the running cell count. workers <= 0
-// uses GOMAXPROCS; the grid is split into fixed-size chunks pulled by the
-// workers, one optimizer instance per worker. Plan numbering follows first
+// BuildParallelContext is Build with the grid partitioned across workers,
+// each running its own optimizer instance over the shared cost model — the
+// paper's Sec 7 observation that "the contour constructions can be carried
+// out in parallel since they do not have any dependence on each other" —
+// plus cancellation and progress reporting: the context is polled between
+// optimizer calls (an expired deadline or cancel abandons the build and
+// returns the context's error), and progress, when non-nil, observes the
+// running cell count. workers <= 0 uses GOMAXPROCS; the grid is split into
+// fixed-size chunks pulled by the workers, one optimizer instance per
+// worker. Plan numbering follows first
 // appearance in flat cell order, so the resulting Space is identical to the
 // sequential Build's regardless of worker count.
 func BuildParallelContext(ctx context.Context, m *cost.Model, g Grid, workers int, progress BuildProgress) (*Space, error) {

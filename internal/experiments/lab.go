@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -20,7 +21,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ess"
 	"repro/internal/metrics"
-	"repro/internal/optimizer"
 	"repro/internal/spillbound"
 	"repro/internal/workload"
 )
@@ -45,8 +45,9 @@ type Config struct {
 	// ResOverride optionally overrides the grid resolution per query name
 	// (useful to shrink benchmark runtimes).
 	ResOverride map[string]int
-	// Workers parallelizes MSO sweeps (the runners are concurrency-safe
-	// over a shared space); 0 uses GOMAXPROCS.
+	// Workers parallelizes ESS builds and MSO sweeps (the runners are
+	// concurrency-safe over a shared space); 0 uses GOMAXPROCS. Results are
+	// identical regardless of the worker count.
 	Workers int
 }
 
@@ -140,15 +141,14 @@ func (l *Lab) SpaceWith(sp workload.Spec, params cost.Params) (*ess.Space, error
 	if err != nil {
 		return nil, err
 	}
-	o, err := optimizer.New(m)
-	if err != nil {
-		return nil, err
-	}
 	res := sp.GridRes
 	if r, ok := l.Config.ResOverride[sp.Name]; ok {
 		res = r
 	}
-	s := ess.Build(o, ess.NewGrid(q.D(), res, sp.GridLo))
+	s, err := ess.BuildParallelContext(context.Background(), m, ess.NewGrid(q.D(), res, sp.GridLo), l.Config.Workers, nil)
+	if err != nil {
+		return nil, err
+	}
 
 	l.mu.Lock()
 	l.spaces[key] = s

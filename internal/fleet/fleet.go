@@ -63,8 +63,6 @@ type Config struct {
 	// launching its single hedge request (default 150ms; negative disables
 	// hedging).
 	HedgeDelay time.Duration
-	// Replicas is the virtual-node count per ring member (default 64).
-	Replicas int
 	// ShedPressure is the owner-pressure threshold at or above which the
 	// proxy rejects at the edge instead of forwarding — the cheapest
 	// rejection point, sparing the saturated owner the request entirely
@@ -104,9 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HedgeDelay == 0 {
 		c.HedgeDelay = 150 * time.Millisecond
-	}
-	if c.Replicas < 1 {
-		c.Replicas = defaultReplicas
 	}
 	if c.ShedPressure <= 0 {
 		c.ShedPressure = 0.9
@@ -296,7 +291,7 @@ func (n *Node) publishFleetTrace() {
 
 // rebuildRing recomputes the consistent-hash ring over the live peer set.
 func (n *Node) rebuildRing() {
-	ring := NewRing(n.membership.Live(), n.cfg.Replicas)
+	ring := NewRing(n.membership.Live())
 	n.ringMu.Lock()
 	n.ring = ring
 	n.ringMu.Unlock()
@@ -505,32 +500,24 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request) {
 // createSessionRequest reports whether the request creates a session, and
 // any pre-pinned fleet session ID it carries.
 func createSessionRequest(r *http.Request) (string, bool) {
-	if r.Method != http.MethodPost {
+	if r.Method != http.MethodPost || r.URL.Path != "/v1/sessions" {
 		return "", false
 	}
-	p := r.URL.Path
-	if p == "/v1/sessions" || p == "/sessions" {
-		return r.Header.Get(server.FleetSessionHeader), true
-	}
-	return "", false
+	return r.Header.Get(server.FleetSessionHeader), true
 }
 
 // sessionScope extracts the owning session ID of a request path, or "" for
 // node-local resources. Session-scoped shapes:
 //
-//	/v1/sessions/{id}[/...]   (and the legacy /sessions/{id}[/...])
-//	/v1/atlas?session={id}    (and legacy /atlas)
+//	/v1/sessions/{id}[/...]
+//	/v1/atlas?session={id}
 func sessionScope(r *http.Request) string {
 	p := r.URL.Path
-	for _, prefix := range []string{"/v1/sessions/", "/sessions/"} {
-		if rest, ok := strings.CutPrefix(p, prefix); ok {
-			if i := strings.IndexByte(rest, '/'); i >= 0 {
-				rest = rest[:i]
-			}
-			return rest
-		}
+	if rest, ok := strings.CutPrefix(p, "/v1/sessions/"); ok {
+		id, _, _ := strings.Cut(rest, "/")
+		return id
 	}
-	if p == "/v1/atlas" || p == "/atlas" {
+	if p == "/v1/atlas" {
 		return r.URL.Query().Get("session")
 	}
 	return ""

@@ -2,8 +2,11 @@ package fleet
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,11 +17,11 @@ import (
 
 func TestRingDeterministicAcrossViews(t *testing.T) {
 	nodes := []string{"10.0.0.1:80", "10.0.0.2:80", "10.0.0.3:80"}
-	a := NewRing(nodes, 0)
+	a := NewRing(nodes)
 	// A permuted (and duplicated) peer list is the same ring: every node
 	// computes placement independently from its own -peers flag, and the
 	// views must agree.
-	b := NewRing([]string{"10.0.0.3:80", "10.0.0.1:80", "10.0.0.2:80", "10.0.0.1:80"}, 0)
+	b := NewRing([]string{"10.0.0.3:80", "10.0.0.1:80", "10.0.0.2:80", "10.0.0.1:80"})
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("f%04d", i)
 		if a.Owner(key) != b.Owner(key) {
@@ -29,8 +32,8 @@ func TestRingDeterministicAcrossViews(t *testing.T) {
 
 func TestRingRebalanceMovesOnlyDeadOwnersKeys(t *testing.T) {
 	nodes := []string{"10.0.0.1:80", "10.0.0.2:80", "10.0.0.3:80"}
-	full := NewRing(nodes, 0)
-	shrunk := NewRing([]string{"10.0.0.1:80", "10.0.0.3:80"}, 0)
+	full := NewRing(nodes)
+	shrunk := NewRing([]string{"10.0.0.1:80", "10.0.0.3:80"})
 
 	perOwner := map[string]int{}
 	for i := 0; i < 3000; i++ {
@@ -45,8 +48,8 @@ func TestRingRebalanceMovesOnlyDeadOwnersKeys(t *testing.T) {
 			t.Fatalf("key %s still routed to the removed node", key)
 		}
 	}
-	// Consistent hashing must also spread keys: no member owns everything
-	// or (nearly) nothing.
+	// Placement must also spread keys: no member owns everything or
+	// (nearly) nothing.
 	for _, n := range nodes {
 		if perOwner[n] < 3000/10 {
 			t.Errorf("lopsided ring: %s owns only %d/3000 keys", n, perOwner[n])
@@ -54,8 +57,74 @@ func TestRingRebalanceMovesOnlyDeadOwnersKeys(t *testing.T) {
 	}
 }
 
+// keyShareSkew returns max/min of the members' shares of the keys.
+func keyShareSkew(r *Ring, nodes, keys []string) float64 {
+	count := map[string]int{}
+	for _, k := range keys {
+		count[r.Owner(k)]++
+	}
+	lo, hi := len(keys), 0
+	for _, n := range nodes {
+		lo, hi = min(lo, count[n]), max(hi, count[n])
+	}
+	if lo == 0 {
+		return math.Inf(1)
+	}
+	return float64(hi) / float64(lo)
+}
+
+// TestRingBalancedOverRandomAddresses is the placement balance property:
+// for 2-5 node fleets at seeded random addresses (plus the README's
+// quickstart fleet of neighbouring ports, the shape a poorly mixing hash
+// skews most), no member owns more than 1.3x the keys of another, over both
+// server-style sequential IDs and fleet-minted random IDs.
+func TestRingBalancedOverRandomAddresses(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var keys []string
+	for i := 1; i <= 20000; i++ {
+		keys = append(keys, fmt.Sprintf("s%d", i), fmt.Sprintf("f%012x", rng.Int63n(1<<48)))
+	}
+	fleets := [][]string{{"127.0.0.1:18431", "127.0.0.1:18432", "127.0.0.1:18433"}}
+	for n := 2; n <= 5; n++ {
+		for set := 0; set < 25; set++ {
+			var nodes []string
+			for len(nodes) < n {
+				addr := fmt.Sprintf("127.0.0.1:%d", 1024+rng.Intn(64511))
+				if set%2 == 1 {
+					addr = fmt.Sprintf("10.%d.%d.%d:8080", rng.Intn(256), rng.Intn(256), rng.Intn(256))
+				}
+				if !slices.Contains(nodes, addr) {
+					nodes = append(nodes, addr)
+				}
+			}
+			fleets = append(fleets, nodes)
+		}
+	}
+	for _, nodes := range fleets {
+		if skew := keyShareSkew(NewRing(nodes), nodes, keys); skew > 1.3 {
+			t.Errorf("fleet %v: max/min key share %.3f > 1.3", nodes, skew)
+		}
+	}
+}
+
+// TestKeyOwnedByEveryEphemeralPort pins keyOwnedBy for the proxy tests'
+// two-node rings (self 127.0.0.1:9 plus an httptest listener on a Linux
+// ephemeral port): whatever port the listener gets, both members own one
+// of the probe keys.
+func TestKeyOwnedByEveryEphemeralPort(t *testing.T) {
+	for port := 32768; port <= 60999; port++ {
+		peer := fmt.Sprintf("127.0.0.1:%d", port)
+		r := NewRing([]string{"127.0.0.1:9", peer})
+		for _, owner := range []string{"127.0.0.1:9", peer} {
+			if probeKeyOwnedBy(r, owner) == "" {
+				t.Fatalf("no probe key hashes to %s in ring with %s", owner, peer)
+			}
+		}
+	}
+}
+
 func TestRingSingleNodeOwnsAll(t *testing.T) {
-	r := NewRing([]string{"10.0.0.1:80"}, 0)
+	r := NewRing([]string{"10.0.0.1:80"})
 	for i := 0; i < 50; i++ {
 		if o := r.Owner(fmt.Sprintf("k%d", i)); o != "10.0.0.1:80" {
 			t.Fatalf("sole member does not own key: %s", o)
@@ -182,17 +251,29 @@ func testNode(t *testing.T, peer string, hedge time.Duration) *Node {
 	return n
 }
 
-// keyOwnedBy finds a session ID the ring places on owner.
-func keyOwnedBy(t *testing.T, n *Node, owner string) string {
-	t.Helper()
-	for i := 0; i < 4096; i++ {
+// probeKeyOwnedBy returns the first of a fixed sequence of probe keys the
+// ring places on owner, or "" when none is.
+func probeKeyOwnedBy(r *Ring, owner string) string {
+	for i := 0; i < 64; i++ {
 		id := fmt.Sprintf("f%04d", i)
-		if n.owner(id) == owner {
+		if r.Owner(id) == owner {
 			return id
 		}
 	}
-	t.Fatalf("no key hashes to %s", owner)
 	return ""
+}
+
+// keyOwnedBy finds a session ID the node's ring places on owner
+// (TestKeyOwnedByEveryEphemeralPort shows one exists for every test peer).
+func keyOwnedBy(t *testing.T, n *Node, owner string) string {
+	t.Helper()
+	n.ringMu.Lock()
+	id := probeKeyOwnedBy(n.ring, owner)
+	n.ringMu.Unlock()
+	if id == "" {
+		t.Fatalf("no key hashes to %s", owner)
+	}
+	return id
 }
 
 func TestProxyForwardsDownstreamRetryAfter(t *testing.T) {

@@ -3,95 +3,75 @@ package fleet
 import (
 	"hash/fnv"
 	"sort"
-	"strconv"
 )
 
-// Ring is a consistent-hash ring over the fleet's live nodes: each node
-// contributes Replicas virtual points (FNV-64a of "addr#i") on a 64-bit
-// circle, and a key's owner is the first virtual point at or after the
-// key's hash. Consistent hashing gives the two placement properties the
-// failover design leans on: removing a node moves only the keys it owned
-// (each lands on its "next hash owner"), and re-adding it moves exactly
-// those keys back — so a healed partition reclaims its own sessions and
-// nothing else reshuffles.
+// Ring is the fleet's consistent-hash placement over the live nodes, by
+// rendezvous (highest-random-weight) hashing: a key's owner is the node
+// whose weight mix(hash(key) XOR hash(node)) is largest. It gives the two
+// placement properties the failover design leans on: removing a node moves
+// only the keys it owned (each lands on its "next hash owner", the
+// runner-up weight), and re-adding it moves exactly those keys back — so a
+// healed partition reclaims its own sessions and nothing else reshuffles.
+// Every node's expected share is exactly 1/n whatever the addresses, so
+// placement stays balanced without virtual nodes.
 type Ring struct {
-	points []point
+	nodes []ringNode // sorted by address
 }
 
-// point is one virtual node position.
-type point struct {
+// ringNode is one node with its precomputed address hash.
+type ringNode struct {
 	hash uint64
 	addr string
 }
 
-// defaultReplicas is the virtual-node count per node: enough to spread
-// 3-10 node fleets to within a few percent of even, cheap to rebuild on
-// every membership transition.
-const defaultReplicas = 64
-
-// NewRing builds a ring over the node addresses (duplicates are collapsed;
-// replicas < 1 uses the default). An empty node list yields an empty ring
-// whose Owner is always "".
-func NewRing(nodes []string, replicas int) *Ring {
-	if replicas < 1 {
-		replicas = defaultReplicas
-	}
+// NewRing builds a ring over the node addresses (duplicates are collapsed).
+// An empty node list yields an empty ring whose Owner is always "".
+func NewRing(nodes []string) *Ring {
 	seen := make(map[string]bool, len(nodes))
-	r := &Ring{points: make([]point, 0, len(nodes)*replicas)}
+	r := &Ring{nodes: make([]ringNode, 0, len(nodes))}
 	for _, addr := range nodes {
 		if addr == "" || seen[addr] {
 			continue
 		}
 		seen[addr] = true
-		for i := 0; i < replicas; i++ {
-			r.points = append(r.points, point{hash: hash64(addr + "#" + strconv.Itoa(i)), addr: addr})
-		}
+		r.nodes = append(r.nodes, ringNode{hash: hash64(addr), addr: addr})
 	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
-		}
-		// Tie-break on address so the ring is deterministic even across the
-		// (vanishingly unlikely) 64-bit collision of two virtual points.
-		return r.points[i].addr < r.points[j].addr
-	})
+	sort.Slice(r.nodes, func(i, j int) bool { return r.nodes[i].addr < r.nodes[j].addr })
 	return r
 }
 
-// Owner returns the node owning the key: the first virtual point clockwise
-// from the key's hash, wrapping at the top of the circle. "" on an empty
-// ring.
+// Owner returns the node owning the key: the highest weight wins, ties
+// (a vanishingly unlikely 64-bit collision) going to the smaller address so
+// every view agrees. "" on an empty ring.
 func (r *Ring) Owner(key string) string {
-	if len(r.points) == 0 {
-		return ""
-	}
 	h := hash64(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.points[i].addr
-}
-
-// Nodes returns the distinct node addresses on the ring, sorted.
-func (r *Ring) Nodes() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, p := range r.points {
-		if !seen[p.addr] {
-			seen[p.addr] = true
-			out = append(out, p.addr)
+	owner, best := "", uint64(0)
+	for _, m := range r.nodes {
+		if w := mix64(h ^ m.hash); owner == "" || w > best {
+			owner, best = m.addr, w
 		}
 	}
-	sort.Strings(out)
-	return out
+	return owner
 }
 
 // hash64 is FNV-64a — the repo's standard dependency-free hash (same family
 // as trace.SpanIDFor), deterministic across processes so every node derives
-// the same placement.
+// the same placement — finished with mix64, because bare FNV-1a mixes the
+// short, shared-prefix strings placement hashes (peer addresses, session
+// IDs) poorly.
 func hash64(s string) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(s))
-	return h.Sum64()
+	return mix64(h.Sum64())
+}
+
+// mix64 is the splitmix64 finalizer: a bijection on 64 bits whose every
+// output bit depends on every input bit.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }

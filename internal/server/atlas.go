@@ -55,23 +55,12 @@ func (s *Server) handleAtlas(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Strategy rows: the "strategies" parameter is canonical; "algorithms"
-	// is its deprecated spelling (counted like the run/sweep legacy field).
-	// Empty means the library's default row set (discovery trio + every
-	// registered selection strategy).
-	spec, legacyParam := q.Get("strategies"), false
-	if spec == "" {
-		if spec = q.Get("algorithms"); spec != "" {
-			legacyParam = true
-		}
-	}
+	// Strategy rows: empty means the library's default row set (discovery
+	// trio + every registered selection strategy).
 	var algos []repro.Algorithm
-	if spec != "" {
-		if legacyParam {
-			s.metrics.deprecated.With("field:algorithms").Inc()
-		}
+	if spec := q.Get("strategies"); spec != "" {
 		for _, name := range strings.Split(spec, ",") {
-			a, ok := s.resolveStrategy(w, strings.TrimSpace(name), "")
+			a, ok := s.resolveStrategy(w, strings.TrimSpace(name))
 			if !ok {
 				return
 			}

@@ -53,7 +53,7 @@ func TestRunShedByLimiter(t *testing.T) {
 		t.Fatal("could not pre-fill the run limiter")
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "spillbound", "truth": []float64{0.02, 0.3},
+		"strategy": "spillbound", "truth": []float64{0.02, 0.3},
 	})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("shed status = %d, want 429: %v", resp.StatusCode, body)
@@ -76,7 +76,7 @@ func TestRunShedByLimiter(t *testing.T) {
 
 	srv.runLimiter.Release(true)
 	resp, body = postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "spillbound", "truth": []float64{0.02, 0.3},
+		"strategy": "spillbound", "truth": []float64{0.02, 0.3},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-release run status = %d: %v", resp.StatusCode, body)
@@ -99,7 +99,7 @@ func TestRunShedByBulkhead(t *testing.T) {
 		t.Fatal("could not pre-fill the session bulkhead")
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "planbouquet", "truth": []float64{0.02, 0.3},
+		"strategy": "planbouquet", "truth": []float64{0.02, 0.3},
 	})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("shed status = %d, want 429: %v", resp.StatusCode, body)
@@ -120,7 +120,7 @@ func TestRunShedByBulkhead(t *testing.T) {
 
 	e.bulkhead.Release()
 	resp, body = postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "planbouquet", "truth": []float64{0.02, 0.3},
+		"strategy": "planbouquet", "truth": []float64{0.02, 0.3},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-release run status = %d: %v", resp.StatusCode, body)

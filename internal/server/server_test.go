@@ -121,12 +121,10 @@ func createSession(t *testing.T, baseURL string, payload map[string]any) string 
 
 func TestHealthz(t *testing.T) {
 	ts := testServer(t)
-	for _, path := range []string{"/healthz", "/v1/healthz"} {
-		var out map[string]string
-		resp := getJSON(t, ts.URL+path, &out)
-		if resp.StatusCode != http.StatusOK || out["status"] != "ok" {
-			t.Fatalf("%s = %d %v", path, resp.StatusCode, out)
-		}
+	var out map[string]string
+	resp := getJSON(t, ts.URL+"/v1/healthz", &out)
+	if resp.StatusCode != http.StatusOK || out["status"] != "ok" {
+		t.Fatalf("/v1/healthz = %d %v", resp.StatusCode, out)
 	}
 }
 
@@ -176,7 +174,7 @@ func TestAsyncSessionLifecycle(t *testing.T) {
 
 	// Run SpillBound.
 	resp, run := postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "spillbound", "truth": []float64{0.001, 0.0005},
+		"strategy": "spillbound", "truth": []float64{0.001, 0.0005},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("run status %d: %v", resp.StatusCode, run)
@@ -191,7 +189,7 @@ func TestAsyncSessionLifecycle(t *testing.T) {
 
 	// Sweep.
 	var sweep map[string]any
-	if r := getJSON(t, fmt.Sprintf("%s/v1/sessions/%s/sweep?algorithm=alignedbound&max=20", ts.URL, id), &sweep); r.StatusCode != http.StatusOK {
+	if r := getJSON(t, fmt.Sprintf("%s/v1/sessions/%s/sweep?strategy=alignedbound&max=20", ts.URL, id), &sweep); r.StatusCode != http.StatusOK {
 		t.Fatalf("sweep status %d: %v", r.StatusCode, sweep)
 	}
 	if sweep["mso"].(float64) > 10 {
@@ -202,29 +200,109 @@ func TestAsyncSessionLifecycle(t *testing.T) {
 	}
 }
 
-// TestLegacyAliasesServeV1Handlers proves the deprecated unversioned paths
-// remain live aliases of the v1 handlers: a session created through the
-// legacy path is visible through /v1 and vice versa.
-func TestLegacyAliasesServeV1Handlers(t *testing.T) {
+// TestStrategiesEndpoint checks GET /v1/strategies lists every registered
+// strategy with its kind and guarantee formula — the discovery trio, the
+// native baseline and the selection family.
+func TestStrategiesEndpoint(t *testing.T) {
 	ts := testServer(t)
-	resp, created := postJSON(t, ts.URL+"/sessions", map[string]any{"query": "2D_EQ", "gridRes": 6})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("legacy create status %d: %v", resp.StatusCode, created)
+	var infos []struct {
+		Name      string            `json:"name"`
+		Kind      string            `json:"kind"`
+		Guarantee string            `json:"guarantee"`
+		Resumable bool              `json:"resumable"`
+		Params    map[string]string `json:"params"`
 	}
-	id := created["id"].(string)
-	awaitReady(t, ts.URL, id)
-	var legacy map[string]any
-	if r := getJSON(t, ts.URL+"/sessions/"+id, &legacy); r.StatusCode != http.StatusOK {
-		t.Fatalf("legacy get = %d", r.StatusCode)
-	}
-	if legacy["status"] != "ready" {
-		t.Errorf("legacy status = %v", legacy["status"])
-	}
-	resp, run := postJSON(t, ts.URL+"/sessions/"+id+"/run", map[string]any{
-		"algorithm": "spillbound", "truth": []float64{0.01, 0.02},
-	})
+	resp := getJSON(t, ts.URL+"/v1/strategies", &infos)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy run status %d: %v", resp.StatusCode, run)
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	want := map[string]string{
+		"native":        "baseline",
+		"planbouquet":   "discovery",
+		"spillbound":    "discovery",
+		"alignedbound":  "discovery",
+		"penaltyaware":  "selection",
+		"probabilistic": "selection",
+		"minmaxregret":  "selection",
+	}
+	got := map[string]string{}
+	for _, in := range infos {
+		got[in.Name] = in.Kind
+		if in.Guarantee == "" {
+			t.Errorf("%s: empty guarantee formula", in.Name)
+		}
+	}
+	for name, kind := range want {
+		if got[name] != kind {
+			t.Errorf("%s: kind %q, want %q", name, got[name], kind)
+		}
+	}
+}
+
+// TestOneRoutePerEndpointOneNamePerStrategy pins the single API surface:
+// every endpoint lives under /v1 only, strategies are named by their exact
+// registered name in the "strategy" field/parameter (no "algorithm" or
+// "algorithms" spelling, no short aliases, no case folding), and the
+// exposition carries no deprecation census family.
+func TestOneRoutePerEndpointOneNamePerStrategy(t *testing.T) {
+	ts := testServer(t)
+	id := createSession(t, ts.URL, map[string]any{"query": "2D_EQ", "gridRes": 6})
+	run := "/v1/sessions/" + id + "/run"
+	cases := []struct {
+		name, method, path, body string
+		wantStatus               int
+		wantCode                 string // error envelope code; "" for 200s and mux 404s
+		wantAlgo                 string // echoed "algorithm" on 200s
+	}{
+		{"unversioned healthz", "GET", "/healthz", "", http.StatusNotFound, "", ""},
+		{"unversioned queries", "GET", "/queries", "", http.StatusNotFound, "", ""},
+		{"unversioned create", "POST", "/sessions", `{"query":"2D_EQ","gridRes":6}`, http.StatusNotFound, "", ""},
+		{"unversioned session", "GET", "/sessions/" + id, "", http.StatusNotFound, "", ""},
+		{"unversioned run", "POST", "/sessions/" + id + "/run", `{"strategy":"spillbound","truth":[0.02,0.3]}`, http.StatusNotFound, "", ""},
+		{"unversioned sweep", "GET", "/sessions/" + id + "/sweep?strategy=spillbound&max=9", "", http.StatusNotFound, "", ""},
+		{"run algorithm field", "POST", run, `{"algorithm":"spillbound","truth":[0.02,0.3]}`, http.StatusBadRequest, "unknown_strategy", ""},
+		{"run alias SB", "POST", run, `{"strategy":"SB","truth":[0.02,0.3]}`, http.StatusBadRequest, "unknown_strategy", ""},
+		{"run alias sb", "POST", run, `{"strategy":"sb","truth":[0.02,0.3]}`, http.StatusBadRequest, "unknown_strategy", ""},
+		{"sweep algorithm param", "GET", "/v1/sessions/" + id + "/sweep?algorithm=spillbound&max=9", "", http.StatusBadRequest, "unknown_strategy", ""},
+		{"atlas alias", "GET", "/v1/atlas?session=" + id + "&strategies=sb&max=4", "", http.StatusBadRequest, "unknown_strategy", ""},
+		{"run strategy field", "POST", run, `{"strategy":"minmaxregret","truth":[0.02,0.3]}`, http.StatusOK, "", "minmaxregret"},
+		{"sweep strategy param", "GET", "/v1/sessions/" + id + "/sweep?strategy=probabilistic&max=9", "", http.StatusOK, "", "probabilistic"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != tc.wantStatus {
+				t.Fatalf("status %d, want %d", resp.StatusCode, tc.wantStatus)
+			}
+			if tc.wantCode == "" && tc.wantAlgo == "" {
+				return
+			}
+			var body map[string]any
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+				t.Fatal(err)
+			}
+			if tc.wantCode != "" {
+				if code, _ := errEnvelope(t, body); code != tc.wantCode {
+					t.Errorf("code %q, want %q", code, tc.wantCode)
+				}
+			}
+			if tc.wantAlgo != "" && body["algorithm"] != tc.wantAlgo {
+				t.Errorf("algorithm %v, want %q", body["algorithm"], tc.wantAlgo)
+			}
+		})
+	}
+	for name := range scrape(t, ts.URL) {
+		if strings.Contains(name, "deprecated") {
+			t.Errorf("exposition still carries %s", name)
+		}
 	}
 }
 
@@ -258,7 +336,7 @@ func TestRunWhileBuildingConflicts(t *testing.T) {
 	}
 
 	resp, body := postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "spillbound", "truth": []float64{0.01, 0.02},
+		"strategy": "spillbound", "truth": []float64{0.01, 0.02},
 	})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("run while building = %d (%v), want 409", resp.StatusCode, body)
@@ -268,14 +346,14 @@ func TestRunWhileBuildingConflicts(t *testing.T) {
 	}
 
 	var sweep map[string]any
-	if r := getJSON(t, ts.URL+"/v1/sessions/"+id+"/sweep?algorithm=spillbound", &sweep); r.StatusCode != http.StatusConflict {
+	if r := getJSON(t, ts.URL+"/v1/sessions/"+id+"/sweep?strategy=spillbound", &sweep); r.StatusCode != http.StatusConflict {
 		t.Fatalf("sweep while building = %d, want 409", r.StatusCode)
 	}
 
 	close(gate)
 	awaitReady(t, ts.URL, id)
 	resp, run := postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "spillbound", "truth": []float64{0.01, 0.02},
+		"strategy": "spillbound", "truth": []float64{0.01, 0.02},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("run after ready = %d (%v)", resp.StatusCode, run)
@@ -312,7 +390,7 @@ func TestFailedBuildReportsConflict(t *testing.T) {
 		t.Errorf("buildError = %v", info["buildError"])
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "spillbound", "truth": []float64{0.01, 0.02},
+		"strategy": "spillbound", "truth": []float64{0.01, 0.02},
 	})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("run on failed session = %d, want 409", resp.StatusCode)
@@ -334,8 +412,8 @@ func TestErrorPaths(t *testing.T) {
 		{"POST", "/v1/sessions", map[string]any{"query": "2D_EQ", "gridRes": 1}, http.StatusBadRequest, "bad_request"},
 		{"POST", "/v1/sessions", map[string]any{"query": "2D_EQ", "profile": "oracle"}, http.StatusBadRequest, "bad_request"},
 		{"GET", "/v1/sessions/zzz", nil, http.StatusNotFound, "not_found"},
-		{"POST", "/v1/sessions/zzz/run", map[string]any{"algorithm": "spillbound", "truth": []float64{0.5, 0.5}}, http.StatusNotFound, "not_found"},
-		{"GET", "/v1/sessions/zzz/sweep?algorithm=spillbound", nil, http.StatusNotFound, "not_found"},
+		{"POST", "/v1/sessions/zzz/run", map[string]any{"strategy": "spillbound", "truth": []float64{0.5, 0.5}}, http.StatusNotFound, "not_found"},
+		{"GET", "/v1/sessions/zzz/sweep?strategy=spillbound", nil, http.StatusNotFound, "not_found"},
 	}
 	for _, tc := range cases {
 		var resp *http.Response
@@ -362,10 +440,9 @@ func TestRunValidation(t *testing.T) {
 		payload  map[string]any
 		wantCode string
 	}{
-		{map[string]any{"algorithm": "teleport", "truth": []float64{0.5, 0.5}}, "unknown_strategy"},
 		{map[string]any{"strategy": "teleport", "truth": []float64{0.5, 0.5}}, "unknown_strategy"},
 		{map[string]any{"strategy": "spillbound", "truth": []float64{0.5}}, "bad_request"},
-		{map[string]any{"algorithm": "spillbound", "truth": []float64{0.5, 2.0}}, "bad_request"},
+		{map[string]any{"strategy": "spillbound", "truth": []float64{0.5, 2.0}}, "bad_request"},
 	}
 	for _, tc := range cases {
 		resp, body := postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", tc.payload)
@@ -394,14 +471,14 @@ func TestBadPayloadsYield4xx(t *testing.T) {
 		{"malformed JSON create", "POST", "/v1/sessions", `{"query": `, http.StatusBadRequest},
 		{"malformed JSON run", "POST", "/v1/sessions/" + id + "/run", `not json at all`, http.StatusBadRequest},
 		{"unknown query", "POST", "/v1/sessions", `{"query":"Q_NOPE"}`, http.StatusNotFound},
-		{"unknown algorithm", "POST", "/v1/sessions/" + id + "/run", `{"algorithm":"quantum","truth":[0.5,0.5]}`, http.StatusBadRequest},
-		{"truth arity low", "POST", "/v1/sessions/" + id + "/run", `{"algorithm":"spillbound","truth":[0.5]}`, http.StatusBadRequest},
-		{"truth arity high", "POST", "/v1/sessions/" + id + "/run", `{"algorithm":"spillbound","truth":[0.5,0.5,0.5]}`, http.StatusBadRequest},
-		{"truth out of range", "POST", "/v1/sessions/" + id + "/run", `{"algorithm":"spillbound","truth":[0.5,7]}`, http.StatusBadRequest},
-		{"truth zero", "POST", "/v1/sessions/" + id + "/run", `{"algorithm":"spillbound","truth":[0,0.5]}`, http.StatusBadRequest},
-		{"sweep on missing session", "GET", "/v1/sessions/ghost/sweep?algorithm=spillbound", "", http.StatusNotFound},
-		{"sweep bad algorithm", "GET", "/v1/sessions/" + id + "/sweep?algorithm=psychic", "", http.StatusBadRequest},
-		{"sweep bad max", "GET", "/v1/sessions/" + id + "/sweep?algorithm=spillbound&max=-3", "", http.StatusBadRequest},
+		{"unknown algorithm", "POST", "/v1/sessions/" + id + "/run", `{"strategy":"quantum","truth":[0.5,0.5]}`, http.StatusBadRequest},
+		{"truth arity low", "POST", "/v1/sessions/" + id + "/run", `{"strategy":"spillbound","truth":[0.5]}`, http.StatusBadRequest},
+		{"truth arity high", "POST", "/v1/sessions/" + id + "/run", `{"strategy":"spillbound","truth":[0.5,0.5,0.5]}`, http.StatusBadRequest},
+		{"truth out of range", "POST", "/v1/sessions/" + id + "/run", `{"strategy":"spillbound","truth":[0.5,7]}`, http.StatusBadRequest},
+		{"truth zero", "POST", "/v1/sessions/" + id + "/run", `{"strategy":"spillbound","truth":[0,0.5]}`, http.StatusBadRequest},
+		{"sweep on missing session", "GET", "/v1/sessions/ghost/sweep?strategy=spillbound", "", http.StatusNotFound},
+		{"sweep bad algorithm", "GET", "/v1/sessions/" + id + "/sweep?strategy=psychic", "", http.StatusBadRequest},
+		{"sweep bad max", "GET", "/v1/sessions/" + id + "/sweep?strategy=spillbound&max=-3", "", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -469,7 +546,7 @@ func TestRequestTimeoutAbortsRun(t *testing.T) {
 	t.Cleanup(ts2.Close)
 	start := time.Now()
 	resp, body := postJSON(t, ts2.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "spillbound", "truth": []float64{0.001, 0.0005},
+		"strategy": "spillbound", "truth": []float64{0.001, 0.0005},
 	})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d (%v), want 504", resp.StatusCode, body)
@@ -575,7 +652,7 @@ func TestDegradedFieldsAbsentOnCleanRun(t *testing.T) {
 	ts := testServer(t)
 	id := createSession(t, ts.URL, map[string]any{"query": "2D_EQ", "gridRes": 6})
 	_, run := postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "spillbound", "truth": []float64{0.01, 0.02},
+		"strategy": "spillbound", "truth": []float64{0.01, 0.02},
 	})
 	if _, present := run["degraded"]; present {
 		t.Errorf("clean run carries degraded flag: %v", run)
@@ -586,7 +663,7 @@ func TestNativeRunHasNoGuaranteeField(t *testing.T) {
 	ts := testServer(t)
 	id := createSession(t, ts.URL, map[string]any{"query": "2D_EQ", "gridRes": 6})
 	resp, run := postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "native", "truth": []float64{0.01, 0.01},
+		"strategy": "native", "truth": []float64{0.01, 0.01},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %v", resp.StatusCode, run)

@@ -91,7 +91,7 @@ func TestRunTraceEndpoint(t *testing.T) {
 	id := createSession(t, ts.URL, map[string]any{"query": "2D_EQ", "gridRes": 6})
 
 	resp, run := postTraced(t, ts.URL+"/v1/sessions/"+id+"/run", testTraceparent, map[string]any{
-		"algorithm": "spillbound", "truth": []float64{0.02, 0.3},
+		"strategy": "spillbound", "truth": []float64{0.02, 0.3},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("run status %d: %v", resp.StatusCode, run)
@@ -169,7 +169,7 @@ func TestTraceSampling(t *testing.T) {
 	srv, ts := overloadServer(t, Config{TraceSample: -1})
 	id := createSession(t, ts.URL, map[string]any{"query": "2D_EQ", "gridRes": 6})
 	resp, run := postTraced(t, ts.URL+"/v1/sessions/"+id+"/run", testTraceparent, map[string]any{
-		"algorithm": "spillbound", "truth": []float64{0.02, 0.3},
+		"strategy": "spillbound", "truth": []float64{0.02, 0.3},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("run status %d: %v", resp.StatusCode, run)
@@ -247,7 +247,7 @@ func TestShedCarriesRequestID(t *testing.T) {
 	defer srv.runLimiter.Release(true)
 
 	resp, body := postTraced(t, ts.URL+"/v1/sessions/"+id+"/run", testTraceparent, map[string]any{
-		"algorithm": "spillbound", "truth": []float64{0.02, 0.3},
+		"strategy": "spillbound", "truth": []float64{0.02, 0.3},
 	})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("shed status = %d, want 429: %v", resp.StatusCode, body)

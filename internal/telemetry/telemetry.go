@@ -75,7 +75,8 @@ const (
 	// session-build trace.
 	BuildChunk Kind = "build_chunk"
 	// BuildMemo records the post-build session assembly (plan-diagram
-	// reduction and the shared memoized optimizer).
+	// reduction and the native plan); the name predates the assembly's
+	// current contents and is kept because trace output pins it.
 	BuildMemo Kind = "build_memo"
 
 	// PeerDown and PeerUp record fleet heartbeat state transitions: a peer

@@ -43,7 +43,7 @@ const (
 	KindCheckpoint = "checkpoint_save"
 	// KindBuild is a session-build tree's root; KindBuildChunk covers one
 	// worker's contiguous grid range and KindBuildMemo the post-build
-	// assembly (diagram reduction + shared optimizer memo).
+	// assembly (diagram reduction + native plan).
 	KindBuild      = "session_build"
 	KindBuildChunk = "build_chunk"
 	KindBuildMemo  = "optimizer_memo"

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 
 	"repro/internal/aligned"
@@ -29,10 +30,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Algorithm selects a query processing strategy. It is a thin compatibility
-// shim over the strategy registry (see strategy.go): the value IS the
-// registered strategy name, so every Algorithm-typed API accepts any
-// registered strategy, not just the built-in constants below.
+// Algorithm selects a query processing strategy: the value is the
+// registered strategy name (see strategy.go), so every Algorithm-typed API
+// accepts any registered strategy, not just the built-in constants below.
 type Algorithm string
 
 // The built-in processing strategies (see Strategies() for the full
@@ -53,25 +53,23 @@ const (
 // String names the algorithm: the canonical registry name.
 func (a Algorithm) String() string { return string(a) }
 
-// ParseAlgorithm resolves an algorithm name (as produced by String) against
-// the strategy registry, accepting legacy aliases ("sb", "pb", ...) and
-// non-canonical casing; use ParseStrategyName to detect legacy spellings.
+// ParseAlgorithm resolves a strategy name (as produced by String) by exact
+// registry lookup; an unknown name's error lists the registered names.
 func ParseAlgorithm(name string) (Algorithm, error) {
-	canonical, _, err := ParseStrategyName(name)
-	if err != nil {
+	if _, err := strategyFor(Algorithm(name)); err != nil {
 		return "", err
 	}
-	return Algorithm(canonical), nil
+	return Algorithm(name), nil
 }
 
-// strategyFor resolves the Algorithm shim to its registered strategy. Exact
-// canonical values (the common path: the built-in constants, names already
-// resolved by ParseAlgorithm) avoid the alias fold.
+// strategyFor looks the Algorithm up in the strategy registry.
 func strategyFor(a Algorithm) (Strategy, error) {
-	if st, ok := LookupStrategy(string(a)); ok {
-		return st, nil
+	st, ok := LookupStrategy(string(a))
+	if !ok {
+		return nil, fmt.Errorf("repro: unknown strategy %q (registered: %s)",
+			a, strings.Join(StrategyNames(), ", "))
 	}
-	return ParseStrategy(string(a))
+	return st, nil
 }
 
 // Options configures a Session.
@@ -143,16 +141,19 @@ func DefaultOptions() Options {
 
 // Session holds everything needed to process one query robustly: the bound
 // query, its cost model, the explored ESS (POSP + optimal cost surface +
-// contours), the reduced plan diagram for PlanBouquet, and a shared
-// memoized optimizer answering per-run oracle calls.
+// contours), the reduced plan diagram for PlanBouquet, the estimate-optimal
+// native plan, and a shared optimizer answering per-run oracle calls.
 type Session struct {
 	opts  Options
 	query *query.Query
 	model *cost.Model
 	space *ess.Space
 	diag  *bouquet.Diagram
-	opt   *optimizer.Shared
-	store *runstate.Store // non-nil iff Options.DataDir was set
+	// native is the plan optimal at the statistics estimate — the
+	// traditional plan and the bottom rung of the degradation ladder.
+	native *plan.Plan
+	opt    *optimizer.Shared
+	store  *runstate.Store // non-nil iff Options.DataDir was set
 
 	// selMu guards selections, the per-session memo of the selection
 	// strategies' plan choices (see selection.go): registered strategy
@@ -221,8 +222,8 @@ func NewSessionContext(ctx context.Context, cat *Catalog, sql string, epps []str
 	if err != nil {
 		return nil, err
 	}
-	// The post-build assembly (diagram reduction + shared optimizer memo)
-	// closes a traced session build.
+	// The post-build assembly (diagram reduction + native plan) closes a
+	// traced session build.
 	telemetry.From(ctx).Record(telemetry.Event{Kind: telemetry.BuildMemo, Dim: -1})
 	s.store = store
 	return s, nil
@@ -274,19 +275,21 @@ func gridsEqual(a, b ess.Grid) bool {
 }
 
 // newSession assembles a Session around a built space: the PlanBouquet
-// diagram and the session-lifetime shared optimizer.
+// diagram, the native plan and the session-lifetime shared optimizer.
 func newSession(opts Options, q *query.Query, m *cost.Model, sp *ess.Space) (*Session, error) {
 	o, err := optimizer.NewShared(m)
 	if err != nil {
 		return nil, err
 	}
+	native, _ := o.Optimize(m.EstimateLocation())
 	return &Session{
-		opts:  opts,
-		query: q,
-		model: m,
-		space: sp,
-		diag:  bouquet.Reduce(sp, opts.ReductionLambda),
-		opt:   o,
+		opts:   opts,
+		query:  q,
+		model:  m,
+		space:  sp,
+		diag:   bouquet.Reduce(sp, opts.ReductionLambda),
+		native: native,
+		opt:    o,
 	}, nil
 }
 
@@ -455,10 +458,8 @@ func (s *Session) runFull(ctx context.Context, a Algorithm, truth Location, cost
 	if err != nil {
 		return RunResult{}, err
 	}
-	opt, err := s.optimalCost(truth)
-	if err != nil {
-		return RunResult{}, err
-	}
+	// The oracle optimizes at the exact (possibly off-grid) truth.
+	_, opt := s.opt.Optimize(truth)
 	res := RunResult{Algorithm: a, OptimalCost: opt}
 	e, err := engine.NewChecked(s.model, truth)
 	if err != nil {
@@ -532,7 +533,7 @@ func (s *Session) runFull(ctx context.Context, a Algorithm, truth Location, cost
 		if guard.IsEscape(runErr) {
 			return s.safePath(rec, res, truth)
 		}
-		return s.degrade(rec, res, a, truth, runErr)
+		return s.degrade(rec, res, a, truth, runErr), nil
 	}
 	res.SubOpt = res.TotalCost / opt
 	return finishRun(rec, res, true), nil
@@ -573,24 +574,12 @@ func (s *Session) safePath(rec *telemetry.Recorder, res RunResult, truth Locatio
 	return finishRun(rec, res, true), nil
 }
 
-// nativePlan optimizes at the statistics estimate — the traditional plan
-// and the bottom rung of the degradation ladder. The session's shared
-// optimizer memoizes the result, so repeated runs pay one optimization.
-func (s *Session) nativePlan() (*plan.Plan, error) {
-	p, _ := s.opt.Optimize(s.EstimateLocation())
-	return p, nil
-}
-
 // degrade completes a failed robust run with the Native plan: the partial
 // discovery spend is kept (it was really charged), the estimate-optimal
 // plan's cost at the truth is added, and a Degrade event records that the
 // MSO guarantee no longer holds for this run.
-func (s *Session) degrade(rec *telemetry.Recorder, res RunResult, a Algorithm, truth Location, cause error) (RunResult, error) {
-	p, err := s.nativePlan()
-	if err != nil {
-		return RunResult{}, fmt.Errorf("repro: degraded run failed to build native plan: %w (cause: %v)", err, cause)
-	}
-	nat := s.model.Eval(p, truth)
+func (s *Session) degrade(rec *telemetry.Recorder, res RunResult, a Algorithm, truth Location, cause error) RunResult {
+	nat := s.model.Eval(s.native, truth)
 	res.TotalCost += nat
 	res.SubOpt = res.TotalCost / res.OptimalCost
 	// Strategies without an MSO bound (the selection family) degrade with
@@ -605,7 +594,7 @@ func (s *Session) degrade(rec *telemetry.Recorder, res RunResult, a Algorithm, t
 		Location: s.EstimateLocation(), Spent: nat,
 		Guarantee: g, Algorithm: a.String(),
 	})
-	return finishRun(rec, res, true), nil
+	return finishRun(rec, res, true)
 }
 
 func convertSteps(xs []spillbound.Execution) []ExecutionStep {
@@ -621,13 +610,6 @@ func stepFrom(x spillbound.Execution) ExecutionStep {
 		Contour: x.Contour + 1, SpillDim: x.Dim, PlanID: x.PlanID,
 		Budget: x.Budget, Spent: x.Spent, Completed: x.Completed, Learned: x.Learned,
 	}
-}
-
-// optimalCost optimizes at the exact (possibly off-grid) truth through the
-// session's shared memoized optimizer.
-func (s *Session) optimalCost(truth Location) (float64, error) {
-	_, c := s.opt.Optimize(truth)
-	return c, nil
 }
 
 // SweepSummary aggregates a whole-ESS robustness evaluation.
@@ -681,8 +663,7 @@ func (s *Session) SweepContext(ctx context.Context, a Algorithm, maxLocations in
 // SweepStrategies evaluates several strategies' MSO/ASO over one shared
 // location sample (identical truth cells per strategy, including under
 // subsampling), returning one summary per requested strategy in request
-// order. Names resolve like ParseAlgorithm (legacy aliases accepted);
-// duplicates collapse to their first occurrence. An empty names slice
+// order. Names resolve like ParseAlgorithm; duplicates collapse to their first occurrence. An empty names slice
 // sweeps every registered strategy, sorted by name — the comparison the
 // `make sweep-strategies` smoke and the strategy-breadth experiments run.
 func (s *Session) SweepStrategies(ctx context.Context, names []string, maxLocations int) ([]SweepSummary, error) {
@@ -692,16 +673,15 @@ func (s *Session) SweepStrategies(ctx context.Context, names []string, maxLocati
 	runs := make(map[string]metrics.RunFunc, len(names))
 	order := make([]string, 0, len(names))
 	for _, name := range names {
-		canonical, _, err := ParseStrategyName(name)
+		if _, dup := runs[name]; dup {
+			continue
+		}
+		st, err := strategyFor(Algorithm(name))
 		if err != nil {
 			return nil, err
 		}
-		if _, dup := runs[canonical]; dup {
-			continue
-		}
-		st, _ := LookupStrategy(canonical)
-		runs[canonical] = st.SweepRun(s)
-		order = append(order, canonical)
+		runs[name] = st.SweepRun(s)
+		order = append(order, name)
 	}
 	results, err := metrics.SweepManyContext(ctx, s.space, runs, metrics.SweepOptions{
 		MaxLocations: maxLocations,

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -173,9 +174,12 @@ func TestAlgorithmNames(t *testing.T) {
 	if Algorithm("bogus").String() != "bogus" {
 		t.Error("Algorithm String should echo the registry name")
 	}
-	// Legacy aliases resolve (flagged legacy) for wire compatibility.
-	if got, err := ParseAlgorithm("SB"); err != nil || got != SpillBound {
-		t.Errorf("ParseAlgorithm(SB) = %v, %v", got, err)
+	// Resolution is an exact registry lookup: no aliases, no case folding,
+	// and the error enumerates the registry.
+	for _, name := range []string{"SB", "sb", "SpillBound", " spillbound"} {
+		if _, err := ParseAlgorithm(name); err == nil || !strings.Contains(err.Error(), "spillbound") {
+			t.Errorf("ParseAlgorithm(%q) = %v, want an error listing the registry", name, err)
+		}
 	}
 }
 

@@ -3,8 +3,8 @@
 // /v1 API. The paper's discovery algorithms (PlanBouquet, SpillBound,
 // AlignedBound), the Native baseline, and the non-discovery selection
 // strategies (penalty-aware, probabilistic, minmax-regret — see
-// selection.go) are all registered implementations; Algorithm is a thin
-// compatibility shim over registry lookup.
+// selection.go) are all registered implementations; an Algorithm value is
+// a registered strategy's name.
 package repro
 
 import (
@@ -150,22 +150,8 @@ var (
 	strategyReg = make(map[string]Strategy)
 )
 
-// legacyStrategyAliases maps deprecated wire names to canonical registry
-// names. Alias (and mixed-case) resolution succeeds but is flagged legacy,
-// so callers can census deprecated usage (rqp_deprecated_requests_total).
-var legacyStrategyAliases = map[string]string{
-	"pb":      "planbouquet",
-	"bouquet": "planbouquet",
-	"sb":      "spillbound",
-	"ab":      "alignedbound",
-	"penalty": "penaltyaware",
-	"prob":    "probabilistic",
-	"regret":  "minmaxregret",
-}
-
 // RegisterStrategy adds a strategy to the registry. The name must be
-// non-empty lowercase and not already taken (canonically or as a legacy
-// alias). Safe for concurrent use.
+// non-empty lowercase and not already taken. Safe for concurrent use.
 func RegisterStrategy(st Strategy) error {
 	name := st.Info().Name
 	if name == "" || name != strings.ToLower(name) {
@@ -175,9 +161,6 @@ func RegisterStrategy(st Strategy) error {
 	defer strategyMu.Unlock()
 	if _, dup := strategyReg[name]; dup {
 		return fmt.Errorf("repro: strategy %q already registered", name)
-	}
-	if _, dup := legacyStrategyAliases[name]; dup {
-		return fmt.Errorf("repro: strategy name %q shadows a legacy alias", name)
 	}
 	strategyReg[name] = st
 	return nil
@@ -222,33 +205,6 @@ func Strategies() []StrategyInfo {
 	return infos
 }
 
-// ParseStrategyName resolves a strategy name from the wire to its canonical
-// registered form. legacy reports that a deprecated spelling was used (an
-// alias like "sb", or non-canonical casing) so transports can count it.
-func ParseStrategyName(name string) (canonical string, legacy bool, err error) {
-	folded := strings.ToLower(strings.TrimSpace(name))
-	legacy = folded != name
-	if alias, ok := legacyStrategyAliases[folded]; ok {
-		folded, legacy = alias, true
-	}
-	if _, ok := LookupStrategy(folded); !ok {
-		return "", false, fmt.Errorf("repro: unknown strategy %q (registered: %s)",
-			name, strings.Join(StrategyNames(), ", "))
-	}
-	return folded, legacy, nil
-}
-
-// ParseStrategy resolves a (possibly legacy) strategy name to its registered
-// implementation.
-func ParseStrategy(name string) (Strategy, error) {
-	canonical, _, err := ParseStrategyName(name)
-	if err != nil {
-		return nil, err
-	}
-	st, _ := LookupStrategy(canonical)
-	return st, nil
-}
-
 // The built-in strategies: the Native baseline and the paper's discovery
 // algorithms, ported verbatim from the pre-registry Session switch — their
 // RunResults, event streams and checkpoints are golden-pinned
@@ -276,11 +232,7 @@ func (nativeStrategy) Guarantee(*Session) float64 { return math.Inf(1) }
 
 func (nativeStrategy) Run(ctx context.Context, r *StrategyRun) (StrategyOutcome, error) {
 	s := r.sess
-	p, err := s.nativePlan()
-	if err != nil {
-		return StrategyOutcome{}, err
-	}
-	total := s.model.Eval(p, r.truth)
+	total := s.model.Eval(s.native, r.truth)
 	r.rec.Record(telemetry.Event{
 		Kind: telemetry.PlanExec, Dim: -1, Mode: "native",
 		Location: s.EstimateLocation(), Spent: total, Completed: true,

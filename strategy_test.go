@@ -3,51 +3,14 @@ package repro
 import (
 	"context"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 )
 
-// TestParseStrategyNameAliases pins the wire-compat contract: canonical
-// names resolve clean, deprecated aliases and non-canonical spellings
-// resolve but are flagged legacy (so transports can census them), unknown
-// names fail with the registry enumerated in the error.
-func TestParseStrategyNameAliases(t *testing.T) {
-	cases := []struct {
-		in        string
-		canonical string
-		legacy    bool
-	}{
-		{"native", "native", false},
-		{"planbouquet", "planbouquet", false},
-		{"penaltyaware", "penaltyaware", false},
-		{"minmaxregret", "minmaxregret", false},
-		{"pb", "planbouquet", true},
-		{"bouquet", "planbouquet", true},
-		{"sb", "spillbound", true},
-		{"ab", "alignedbound", true},
-		{"penalty", "penaltyaware", true},
-		{"prob", "probabilistic", true},
-		{"regret", "minmaxregret", true},
-		{"SpillBound", "spillbound", true},
-		{" native ", "native", true},
-	}
-	for _, c := range cases {
-		got, legacy, err := ParseStrategyName(c.in)
-		if err != nil || got != c.canonical || legacy != c.legacy {
-			t.Errorf("ParseStrategyName(%q) = %q, legacy=%v, err=%v; want %q, legacy=%v",
-				c.in, got, legacy, err, c.canonical, c.legacy)
-		}
-	}
-	if _, _, err := ParseStrategyName("quantum"); err == nil || !strings.Contains(err.Error(), "spillbound") {
-		t.Errorf("unknown-strategy error should enumerate the registry, got %v", err)
-	}
-}
-
 // TestStrategyRegistryConcurrency hammers the registry's read and write
 // paths from concurrent goroutines — meaningful under -race (make race),
 // where it pins the RWMutex discipline. The write path only attempts
-// registrations that must be rejected (duplicate name, alias shadowing), so
+// registrations that must be rejected (duplicate or non-lowercase name), so
 // the registry is left exactly as found.
 func TestStrategyRegistryConcurrency(t *testing.T) {
 	t.Parallel()
@@ -60,8 +23,8 @@ func TestStrategyRegistryConcurrency(t *testing.T) {
 				if err := RegisterStrategy(nativeStrategy{}); err == nil {
 					t.Error("duplicate registration must fail")
 				}
-				if err := RegisterStrategy(selectionStrategy{info: StrategyInfo{Name: "sb"}}); err == nil {
-					t.Error("alias-shadowing registration must fail")
+				if err := RegisterStrategy(selectionStrategy{info: StrategyInfo{Name: "SpillBound"}}); err == nil {
+					t.Error("non-lowercase registration must fail")
 				}
 			}
 		}()
@@ -86,7 +49,7 @@ func TestStrategyRegistryConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				if _, err := ParseStrategy("regret"); err != nil {
+				if _, err := ParseAlgorithm("minmaxregret"); err != nil {
 					t.Error(err)
 				}
 			}
